@@ -101,13 +101,22 @@ Scheduler::Scheduler(Cluster* cluster, SchedulerConfig config)
 }
 
 ServeResult Scheduler::run(const Workload& workload) {
-  if (cfg_.integrity.detect || cfg_.integrity.preemption) {
-    return run_segmented(workload);
+  // Integrity options turn each attempt from one whole execution into
+  // layer-boundary segments of an integrity::CheckedRun.
+  const bool segmented = cfg_.integrity.detect || cfg_.integrity.preemption;
+  if (segmented) {
+    RNNASIP_CHECK_MSG(cfg_.policy != Policy::kBatched,
+                      "segmented integrity serving runs single executions only");
+    RNNASIP_CHECK_MSG(cluster_->config().integrity,
+                      "integrity scheduling needs a cluster built with "
+                      "ClusterConfig::integrity");
   }
-  return run_plain(workload);
-}
+  if (cfg_.integrity.preemption) {
+    RNNASIP_CHECK_MSG(cfg_.policy == Policy::kDeadline,
+                      "layer-boundary preemption is EDF: it requires "
+                      "Policy::kDeadline");
+  }
 
-ServeResult Scheduler::run_plain(const Workload& workload) {
   ServeResult r;
   r.policy = cfg_.policy;
   r.cores = cluster_->cores();
@@ -122,6 +131,7 @@ ServeResult Scheduler::run_plain(const Workload& workload) {
   /// the arrival for the first attempt, failure time + backoff afterwards.
   /// `span_at` is where the request's span timeline last ended (arrival,
   /// then each failed attempt's finish) — the begin of its next wait phase.
+  /// `pending` stays in workload order, the order coalescing scans it in.
   struct Pend {
     const Job* job = nullptr;
     int attempts = 0;
@@ -137,9 +147,45 @@ ServeResult Scheduler::run_plain(const Workload& workload) {
                             cluster_->config().fallback_level.has_value() &&
                             *cluster_->config().fallback_level != primary;
   const bool faults_on = cfg_.fault.any_enabled();
-  constexpr uint64_t kNoDeadline = std::numeric_limits<uint64_t>::max();
+  constexpr uint64_t kInf = std::numeric_limits<uint64_t>::max();
 
-  std::vector<uint64_t> core_free(static_cast<size_t>(r.cores), 0);
+  /// One in-flight attempt and the buffered outcome of its next event. A
+  /// whole-execution attempt runs eagerly at dispatch and buffers its one
+  /// event; a segmented attempt steps its CheckedRun one layer segment at a
+  /// time. Either way the execution touches only the attempt's own core, so
+  /// the scheduler state changes only when the event is processed in global
+  /// time order.
+  struct Active {
+    std::vector<Pend> group;  ///< the requests it serves, head first
+    kernels::OptLevel level = kernels::OptLevel::kBaseline;
+    bool use_fallback = false;
+    bool faulted = false;
+    uint64_t start = 0;        ///< dispatch cycle of this attempt
+    uint64_t exec_cycles = 0;  ///< executing cycles over all its segments
+    int preemptions = 0;
+    ExecResult whole;  ///< whole-execution attempts: the execution's result
+    std::unique_ptr<integrity::CheckedRun> run;  ///< segmented attempts
+    std::unique_ptr<fault::FaultInjector> injector;
+    bool has_event = false;
+    integrity::CheckedRun::State ev_state = integrity::CheckedRun::State::kDone;
+    uint64_t ev_cycles = 0;  ///< the buffered event's cycles
+    // Telemetry bookkeeping: the buffered segment's integrity deltas
+    // (step_counters at buffering time — the next step() resets them) and
+    // this attempt's surviving-exec accounting for failure reclassification.
+    uint64_t ev_rollback_cycles = 0;
+    uint64_t ev_detections = 0;
+    uint64_t ev_rollbacks = 0;
+    size_t span_anchor = 0;   ///< retained-segment index at dispatch
+    uint64_t span_exec = 0;   ///< kExec cycles emitted for this attempt
+    const Job& job() const { return *group.front().job; }
+  };
+  struct Suspended {
+    std::unique_ptr<Active> ctx;
+    uint64_t since = 0;  ///< suspension cycle (gap accounting)
+  };
+  std::vector<std::unique_ptr<Active>> active(static_cast<size_t>(r.cores));
+  std::vector<Suspended> suspended;
+  std::vector<uint64_t> clock(static_cast<size_t>(r.cores), 0);
   std::vector<int> consec_fail(static_cast<size_t>(r.cores), 0);
   uint64_t exec_counter = 0;
 
@@ -165,408 +211,38 @@ ServeResult Scheduler::run_plain(const Workload& workload) {
                                  static_cast<double>(miss_count);
   };
 
-  while (!pending.empty()) {
-    // The core that frees earliest serves next (ties: lowest index).
-    int core = 0;
-    for (int c = 1; c < r.cores; ++c) {
-      if (core_free[static_cast<size_t>(c)] < core_free[static_cast<size_t>(core)]) core = c;
+  auto deadline_of = [&](const Job& j) { return j.deadline == 0 ? kInf : j.deadline; };
+  // Strict (key, id) order: every selection breaks ties on the lowest id.
+  auto before = [](uint64_t ka, const Job& a, uint64_t kb, const Job& b) {
+    return ka < kb || (ka == kb && a.id < b.id);
+  };
+  // Attempt-end accounting shared by success and failure: integrity
+  // counters, fault-event attribution (to the head request), and core
+  // hygiene. Whole executions scrubbed their core inside the cluster.
+  auto retire = [&](int c, Active& a) {
+    if (a.run) {
+      const integrity::IntegrityCounters& ic = a.run->counters();
+      r.integrity_checks += ic.checks;
+      r.integrity_detections += ic.detections;
+      r.rollbacks += ic.rollbacks;
+      r.rollback_cycles += ic.rollback_cycles;
     }
-    const uint64_t now = core_free[static_cast<size_t>(core)];
-
-    // Select the next request. FIFO/batched: oldest ready time (ties:
-    // lowest id). Deadline: EDF over the requests already ready by `now`;
-    // when none is ready yet, the one that becomes ready first.
-    size_t pick = 0;
-    if (cfg_.policy == Policy::kDeadline) {
-      size_t best_ready = pending.size();
-      uint64_t best_deadline = kNoDeadline;
-      size_t best_wait = 0;
-      for (size_t i = 0; i < pending.size(); ++i) {
-        const Pend& p = pending[i];
-        if (p.ready <= now) {
-          const uint64_t d = p.job->deadline == 0 ? kNoDeadline : p.job->deadline;
-          if (best_ready == pending.size() || d < best_deadline ||
-              (d == best_deadline && p.job->id < pending[best_ready].job->id)) {
-            best_ready = i;
-            best_deadline = d;
-          }
-        } else if (best_ready == pending.size()) {
-          const Pend& b = pending[best_wait];
-          if (i == 0 || p.ready < b.ready ||
-              (p.ready == b.ready && p.job->id < b.job->id)) {
-            best_wait = i;
-          }
-        }
-      }
-      pick = best_ready != pending.size() ? best_ready : best_wait;
-    } else {
-      for (size_t i = 1; i < pending.size(); ++i) {
-        const Pend& p = pending[i];
-        const Pend& b = pending[pick];
-        if (p.ready < b.ready || (p.ready == b.ready && p.job->id < b.job->id)) pick = i;
-      }
-    }
-
-    const Job& head = *pending[pick].job;
-    const uint64_t start = std::max(now, pending[pick].ready);
-
-    // Re-evaluate overload before choosing this execution's level. The
-    // queue-depth trigger counts requests already waiting at `start`.
-    if (can_fallback) {
-      size_t depth = 0;
-      for (const Pend& p : pending)
-        if (p.ready <= start) ++depth;
-      const bool miss_overload =
-          miss_count > 0 && miss_fraction() >= cfg_.overload_miss_rate;
-      const bool queue_overload =
-          cfg_.overload_queue_depth > 0 && depth > cfg_.overload_queue_depth;
-      const bool queue_calm =
-          cfg_.overload_queue_depth == 0 || depth <= cfg_.overload_queue_depth / 2;
-      if (!degraded && (miss_overload || queue_overload)) {
-        degraded = true;
-        degraded_since = start;
-      } else if (degraded && !miss_overload && !queue_overload &&
-                 miss_fraction() <= cfg_.recover_miss_rate && queue_calm) {
-        degraded = false;
-        r.fallback_intervals.push_back({degraded_since, start});
-      }
-    }
-    const bool use_fallback = can_fallback && degraded;
-    const kernels::OptLevel level =
-        use_fallback ? *cluster_->config().fallback_level : primary;
-
-    // Admission control (kDeadline): reject a request whose estimated
-    // completion already blows its deadline instead of burning a core on
-    // it. kProvable charges the certified WCET, so passing this test is a
-    // guarantee, not a prediction.
-    if (cfg_.policy == Policy::kDeadline && head.deadline != 0) {
-      const uint64_t est =
-          cfg_.admission == Admission::kProvable
-              ? cluster_->provable_single_cycles(head.network, level)
-              : cluster_->estimated_single_cycles(head.network, level);
-      if (start + est > head.deadline) {
-        r.rejections.push_back({head.id, head.network, head.arrival, head.deadline, now});
-        if (tel) {
-          const Pend& p = pending[pick];
-          if (p.attempts == 0) tel->spans.arrive(head.id, head.network, head.arrival);
-          tel->spans.phase(head.id, obs::SpanPhase::kWait, -1, p.span_at, start);
-          tel->spans.mark(head.id, obs::SpanMark::kReject, -1, start);
-          tel->spans.close(head.id, obs::SpanOutcome::kRejected, start);
-          tel->metrics.counter("rejected").inc();
-        }
-        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
-        continue;
-      }
-    }
-
-    // Coalesce: same network, already ready by `start`, up to B total.
-    // Batching stays off for the deadline policy (EDF order is per
-    // request) and while degraded (the fallback flavor is single-only).
-    std::vector<size_t> group{pick};
-    if (cfg_.policy == Policy::kBatched && !use_fallback &&
-        cluster_->batchable(head.network)) {
-      const int cap = cluster_->config().batch;
-      for (size_t i = 0; i < pending.size() && static_cast<int>(group.size()) < cap;
-           ++i) {
-        if (i == pick) continue;
-        if (pending[i].job->network == head.network && pending[i].ready <= start) {
-          group.push_back(i);
-        }
-      }
-      // The fixed-B program always runs all B lanes. From level d up the
-      // batched schedule is the fused per-sample one (see emit_fc_batch), so
-      // a lane costs the same as a single run and padded lanes are pure
-      // loss: coalesce only full groups there. At levels <= c the 2-D tile
-      // amortizes weight loads across lanes, which pays even part-filled.
-      if (cluster_->config().level >= kernels::OptLevel::kLoadCompute &&
-          static_cast<int>(group.size()) < cap) {
-        group.resize(1);
-      }
-    }
-
-    if (tel) {
-      for (size_t gi : group) {
-        const Pend& p = pending[gi];
-        const Job& job = *p.job;
-        if (p.attempts == 0) tel->spans.arrive(job.id, job.network, job.arrival);
-        tel->spans.phase(job.id, obs::SpanPhase::kWait, -1, p.span_at, start);
-        tel->spans.mark(job.id,
-                        p.attempts == 0 ? obs::SpanMark::kAdmit
-                                        : obs::SpanMark::kDispatch,
-                        core, start);
-      }
-      obs::Gauge& depth_peak = tel->metrics.gauge("queue_depth_peak");
-      if (static_cast<int64_t>(pending.size()) > depth_peak.value()) {
-        depth_peak.set(static_cast<int64_t>(pending.size()));
-      }
-    }
-
-    // Per-execution campaign spec: same template, execution-mixed seed.
-    fault::FaultSpec exec_fault;
-    if (faults_on) {
-      exec_fault = cfg_.fault;
-      exec_fault.seed = mix_seed(cfg_.fault.seed, exec_counter);
-    }
-    ++exec_counter;
-
-    ExecResult er;
-    if (group.size() == 1) {
-      er = cluster_->run_single_at(core, level, head.network, head.input,
-                                   faults_on ? &exec_fault : nullptr);
-    } else {
-      std::vector<std::vector<int16_t>> inputs;
-      inputs.reserve(group.size());
-      for (size_t gi : group) inputs.push_back(pending[gi].job->input);
-      er = cluster_->run_batched(core, head.network, inputs,
-                                 faults_on ? &exec_fault : nullptr);
-    }
-    const uint64_t cycles = er.cycles;
-    const uint64_t done = start + cycles;
-    for (const auto& ev : er.fault_events) {
+    const std::vector<fault::FaultEvent>& events =
+        a.injector ? a.injector->events() : a.whole.fault_events;
+    for (const auto& ev : events) {
       ++r.fault_events_total;
       if (r.fault_log.size() < cfg_.max_fault_log) {
-        r.fault_log.push_back({core, head.id, ev});
+        r.fault_log.push_back({c, a.job().id, ev});
       } else {
         r.fault_log_truncated = true;
       }
     }
-    if (tel && !er.fault_events.empty()) {
-      tel->spans.mark(head.id, obs::SpanMark::kFault, core, done);
-      tel->metrics.counter("fault_events").inc(er.fault_events.size());
+    if (tel && !events.empty()) {
+      tel->spans.mark(a.job().id, obs::SpanMark::kFault, c, clock[static_cast<size_t>(c)]);
+      tel->metrics.counter("fault_events").inc(events.size());
     }
-
-    if (er.ok()) {
-      consec_fail[static_cast<size_t>(core)] = 0;
-      if (group.size() == 1) {
-        ++r.single_execs;
-      } else {
-        ++r.batched_execs;
-        r.batched_requests += group.size();
-        r.padded_slots +=
-            static_cast<uint64_t>(cluster_->config().batch) - group.size();
-      }
-      if (use_fallback) {
-        ++r.fallback_execs;
-        r.fallback_cycles += cycles;
-      }
-      for (size_t k = 0; k < group.size(); ++k) {
-        const Pend& p = pending[group[k]];
-        const Job& job = *p.job;
-        Completion c;
-        c.id = job.id;
-        c.network = job.network;
-        c.core = core;
-        c.group = static_cast<int>(group.size());
-        c.level = level;
-        c.retries = p.attempts;
-        c.arrival = job.arrival;
-        c.deadline = job.deadline;
-        c.start = start;
-        c.done = done;
-        c.wait_cycles = start - job.arrival;
-        c.exec_cycles = cycles;
-        if (cfg_.retain_outputs) c.outputs = std::move(er.outputs[k]);
-        if (!c.met_deadline()) ++r.deadline_misses;
-        if (job.deadline != 0) note_deadline_outcome(!c.met_deadline());
-        if (tel) {
-          tel->spans.phase(job.id, obs::SpanPhase::kExec, core, start, done);
-          record_completion(*tel, c, done);
-        }
-        RNNASIP_CHECK(job.id < r.completions.size());
-        served[job.id] = 1;
-        r.completions[job.id] = std::move(c);
-      }
-      // Remove the group back-to-front so indices stay valid.
-      std::sort(group.begin(), group.end());
-      for (size_t k = group.size(); k-- > 0;) {
-        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(group[k]));
-      }
-    } else {
-      ++r.exec_failures;
-      r.retry_cycles += cycles;
-      const int fails = ++consec_fail[static_cast<size_t>(core)];
-      // Requeue (bounded retries with deterministic backoff) or drop.
-      if (tel) tel->metrics.counter("exec_failures").inc();
-      std::vector<size_t> dropped;
-      for (size_t gi : group) {
-        Pend& p = pending[gi];
-        ++p.attempts;
-        if (tel) {
-          // The whole attempt was lost: its on-core cycles are kRetry.
-          tel->spans.phase(p.job->id, obs::SpanPhase::kRetry, core, start, done);
-          tel->spans.mark(p.job->id, obs::SpanMark::kFailure, core, done);
-        }
-        if (p.attempts > cfg_.max_retries) {
-          r.failed.push_back({p.job->id, p.job->network, p.attempts,
-                              er.failure->trap.cause});
-          dropped.push_back(gi);
-          if (tel) {
-            tel->spans.close(p.job->id, obs::SpanOutcome::kFailed, done);
-            tel->metrics.counter("failed").inc();
-          }
-        } else {
-          ++r.retries;
-          p.ready = done + static_cast<uint64_t>(p.attempts) * cfg_.retry_backoff_cycles;
-          p.span_at = done;
-          if (tel) tel->metrics.counter("retries").inc();
-        }
-      }
-      std::sort(dropped.begin(), dropped.end());
-      for (size_t k = dropped.size(); k-- > 0;) {
-        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(dropped[k]));
-      }
-      if (fails >= cfg_.quarantine_threshold) {
-        r.quarantines.push_back({core, done, done + cfg_.quarantine_cooldown_cycles});
-        r.quarantine_cycles += cfg_.quarantine_cooldown_cycles;
-        consec_fail[static_cast<size_t>(core)] = 0;
-      }
-    }
-
-    const bool quarantined_now =
-        !r.quarantines.empty() && r.quarantines.back().core == core &&
-        r.quarantines.back().from == done;
-    core_free[static_cast<size_t>(core)] =
-        quarantined_now ? r.quarantines.back().to : done;
-    r.core_busy[static_cast<size_t>(core)] += cycles;
-    r.makespan = std::max(r.makespan, done);
-  }
-  if (degraded) r.fallback_intervals.push_back({degraded_since, r.makespan});
-
-  // Compact: completions keep only served requests (ordered by id since
-  // the slots were id-indexed).
-  std::vector<Completion> compact;
-  compact.reserve(r.completions.size());
-  for (size_t i = 0; i < r.completions.size(); ++i) {
-    if (served[i]) compact.push_back(std::move(r.completions[i]));
-  }
-  r.completions = std::move(compact);
-  return r;
-}
-
-ServeResult Scheduler::run_segmented(const Workload& workload) {
-  RNNASIP_CHECK_MSG(cfg_.policy != Policy::kBatched,
-                    "segmented integrity serving runs single executions only");
-  RNNASIP_CHECK_MSG(cluster_->config().integrity,
-                    "integrity scheduling needs a cluster built with "
-                    "ClusterConfig::integrity");
-  if (cfg_.integrity.preemption) {
-    RNNASIP_CHECK_MSG(cfg_.policy == Policy::kDeadline,
-                      "layer-boundary preemption is EDF: it requires "
-                      "Policy::kDeadline");
-  }
-
-  ServeResult r;
-  r.policy = cfg_.policy;
-  r.cores = cluster_->cores();
-  r.batch = cluster_->config().batch;
-  r.core_busy.assign(static_cast<size_t>(r.cores), 0);
-  r.completions.resize(workload.jobs.size());
-  std::vector<char> served(workload.jobs.size(), 0);
-  const std::shared_ptr<ServingTelemetry> tel = make_telemetry(cfg_);
-  r.telemetry = tel;
-
-  struct Pend {
-    const Job* job = nullptr;
-    int attempts = 0;
-    uint64_t ready = 0;
-    uint64_t span_at = 0;  ///< where the request's span timeline last ended
-  };
-  std::vector<Pend> pending;
-  pending.reserve(workload.jobs.size());
-  for (const Job& j : workload.jobs) pending.push_back({&j, 0, j.arrival, j.arrival});
-
-  const kernels::OptLevel primary = cluster_->config().level;
-  const bool can_fallback = cfg_.level_fallback &&
-                            cluster_->config().fallback_level.has_value() &&
-                            *cluster_->config().fallback_level != primary;
-  const bool faults_on = cfg_.fault.any_enabled();
-  constexpr uint64_t kInf = std::numeric_limits<uint64_t>::max();
-
-  /// One in-flight attempt: the CheckedRun plus its scheduling context and
-  /// the buffered outcome of its next segment. Stepping only touches the
-  /// attempt's own core, so segments run eagerly to learn their boundary
-  /// times; the scheduler state changes only when the event is processed
-  /// in global time order.
-  struct Active {
-    const Job* job = nullptr;
-    int attempts = 0;
-    kernels::OptLevel level = kernels::OptLevel::kBaseline;
-    bool use_fallback = false;
-    bool faulted = false;
-    uint64_t start = 0;        ///< dispatch cycle of this attempt
-    uint64_t exec_cycles = 0;  ///< executing cycles over all its segments
-    int preemptions = 0;
-    std::unique_ptr<integrity::CheckedRun> run;
-    std::unique_ptr<fault::FaultInjector> injector;
-    bool has_event = false;
-    integrity::CheckedRun::State ev_state = integrity::CheckedRun::State::kDone;
-    uint64_t ev_cycles = 0;  ///< the buffered segment's cycles
-    // Telemetry bookkeeping: the buffered segment's integrity deltas
-    // (step_counters at buffering time — the next step() resets them) and
-    // this attempt's surviving-exec accounting for failure reclassification.
-    uint64_t ev_rollback_cycles = 0;
-    uint64_t ev_detections = 0;
-    uint64_t ev_rollbacks = 0;
-    size_t span_anchor = 0;   ///< retained-segment index at dispatch
-    uint64_t span_exec = 0;   ///< kExec cycles emitted for this attempt
-  };
-  struct Suspended {
-    std::unique_ptr<Active> ctx;
-    uint64_t since = 0;  ///< suspension cycle (gap accounting)
-  };
-  std::vector<std::unique_ptr<Active>> active(static_cast<size_t>(r.cores));
-  std::vector<Suspended> suspended;
-  std::vector<uint64_t> clock(static_cast<size_t>(r.cores), 0);
-  std::vector<int> consec_fail(static_cast<size_t>(r.cores), 0);
-  uint64_t exec_counter = 0;
-
-  // Degraded-mode state, identical to run_plain.
-  std::vector<char> miss_ring(static_cast<size_t>(cfg_.miss_window), 0);
-  size_t miss_head = 0, miss_count = 0, misses_in_ring = 0;
-  bool degraded = false;
-  uint64_t degraded_since = 0;
-  auto note_deadline_outcome = [&](bool missed) {
-    if (miss_count == miss_ring.size()) {
-      misses_in_ring -= miss_ring[miss_head] ? 1u : 0u;
-    } else {
-      ++miss_count;
-    }
-    miss_ring[miss_head] = missed ? 1 : 0;
-    miss_head = (miss_head + 1) % miss_ring.size();
-    misses_in_ring += missed ? 1u : 0u;
-  };
-  auto miss_fraction = [&] {
-    return miss_count == 0 ? 0.0
-                           : static_cast<double>(misses_in_ring) /
-                                 static_cast<double>(miss_count);
-  };
-
-  auto deadline_of = [&](const Job& j) { return j.deadline == 0 ? kInf : j.deadline; };
-  // Attempt-end accounting shared by success and failure: integrity
-  // counters, fault-event attribution, and core hygiene.
-  auto retire = [&](int c, Active& a) {
-    const integrity::IntegrityCounters& ic = a.run->counters();
-    r.integrity_checks += ic.checks;
-    r.integrity_detections += ic.detections;
-    r.rollbacks += ic.rollbacks;
-    r.rollback_cycles += ic.rollback_cycles;
-    if (a.injector) {
-      for (const auto& ev : a.injector->events()) {
-        ++r.fault_events_total;
-        if (r.fault_log.size() < cfg_.max_fault_log) {
-          r.fault_log.push_back({c, a.job->id, ev});
-        } else {
-          r.fault_log_truncated = true;
-        }
-      }
-      if (tel && !a.injector->events().empty()) {
-        tel->spans.mark(a.job->id, obs::SpanMark::kFault, c,
-                        clock[static_cast<size_t>(c)]);
-        tel->metrics.counter("fault_events").inc(a.injector->events().size());
-      }
-      a.injector->disarm();
-    }
-    if (a.faulted) cluster_->scrub_pla(c);
+    if (a.injector) a.injector->disarm();
+    if (a.run && a.faulted) cluster_->scrub_pla(c);
   };
   auto any_active = [&] {
     for (const auto& a : active)
@@ -575,13 +251,13 @@ ServeResult Scheduler::run_segmented(const Workload& workload) {
   };
 
   while (!pending.empty() || !suspended.empty() || any_active()) {
-    // Buffer every active core's next segment.
+    // Buffer every segmented attempt's next segment.
     for (int c = 0; c < r.cores; ++c) {
       Active* a = active[static_cast<size_t>(c)].get();
       if (a == nullptr || a->has_event) continue;
-      const uint64_t before = a->run->cycles();
+      const uint64_t before_cycles = a->run->cycles();
       a->ev_state = a->run->step();
-      a->ev_cycles = a->run->cycles() - before;
+      a->ev_cycles = a->run->cycles() - before_cycles;
       const integrity::IntegrityCounters sc = a->run->step_counters();
       a->ev_rollback_cycles = sc.rollback_cycles;
       a->ev_detections = sc.detections;
@@ -589,9 +265,11 @@ ServeResult Scheduler::run_segmented(const Workload& workload) {
       a->has_event = true;
     }
 
-    // Next event in global time order: a buffered segment completing, or
-    // an idle core dispatching. Ties prefer segment events (a completion
-    // at t frees its core before a dispatch at t), then the lowest core.
+    // Next event in global time order: a buffered event completing, or an
+    // idle core dispatching. Ties prefer buffered events (a completion at
+    // t frees its core before a dispatch at t), lowest core first; among
+    // dispatches the core idle the longest (earliest clock) goes first,
+    // then the lowest index.
     uint64_t min_ready = kInf;
     for (const Pend& p : pending) min_ready = std::min(min_ready, p.ready);
     int best_core = -1;
@@ -613,7 +291,8 @@ ServeResult Scheduler::run_segmented(const Workload& workload) {
         continue;
       }
       if (best_core < 0 || t < best_time ||
-          (t == best_time && !disp && best_dispatch)) {
+          (t == best_time && best_dispatch &&
+           (!disp || clock[ci] < clock[static_cast<size_t>(best_core)]))) {
         best_time = t;
         best_core = c;
         best_dispatch = disp;
@@ -625,7 +304,7 @@ ServeResult Scheduler::run_segmented(const Workload& workload) {
     const uint64_t now = best_time;
 
     if (!best_dispatch) {
-      // ---- Segment event: boundary, completion, or failure ----
+      // ---- Buffered event: boundary, completion, or failure ----
       Active& a = *active[ci];
       a.has_event = false;
       clock[ci] = now;
@@ -638,7 +317,7 @@ ServeResult Scheduler::run_segmented(const Workload& workload) {
         // rollback re-execution cycles (step_counters delta) tile the
         // front of the interval as kRollback; the surviving work is kExec
         // — or kRetry outright when the whole attempt just died.
-        const uint64_t id = a.job->id;
+        const uint64_t id = a.job().id;
         const uint64_t t0 = now - a.ev_cycles;
         const uint64_t rb = a.ev_rollback_cycles;
         RNNASIP_CHECK(rb <= a.ev_cycles);
@@ -652,8 +331,11 @@ ServeResult Scheduler::run_segmented(const Workload& workload) {
           tel->spans.mark(id, obs::SpanMark::kDetection, core, now);
           tel->metrics.counter("integrity_detections").inc(a.ev_detections);
         }
-        tel->spans.phase(id, died ? obs::SpanPhase::kRetry : obs::SpanPhase::kExec,
-                         core, t0 + rb, now);
+        for (const Pend& p : a.group) {
+          tel->spans.phase(p.job->id,
+                           died ? obs::SpanPhase::kRetry : obs::SpanPhase::kExec, core,
+                           t0 + rb, now);
+        }
         if (!died) {
           a.span_exec += a.ev_cycles - rb;
           if (a.ev_state == integrity::CheckedRun::State::kBoundary) {
@@ -681,7 +363,7 @@ ServeResult Scheduler::run_segmented(const Workload& workload) {
               if (p.ready <= now) challenger = std::min(challenger, deadline_of(*p.job));
             }
           }
-          if (challenger < deadline_of(*a.job)) {
+          if (challenger < deadline_of(a.job())) {
             // The checkpoint taken at this verified boundary carries the
             // whole resumable state; disarm and scrub so the next
             // occupant starts from clean physical core state.
@@ -690,7 +372,7 @@ ServeResult Scheduler::run_segmented(const Workload& workload) {
             ++a.preemptions;
             ++r.preemptions;
             if (tel) {
-              tel->spans.mark(a.job->id, obs::SpanMark::kPreempt, core, now);
+              tel->spans.mark(a.job().id, obs::SpanMark::kPreempt, core, now);
               tel->metrics.counter("preemptions").inc();
             }
             suspended.push_back({std::move(active[ci]), now});
@@ -702,65 +384,84 @@ ServeResult Scheduler::run_segmented(const Workload& workload) {
       std::unique_ptr<Active> ended = std::move(active[ci]);
       Active& d = *ended;
       retire(core, d);
+      const size_t n = d.group.size();
       if (d.ev_state == integrity::CheckedRun::State::kDone) {
         consec_fail[ci] = 0;
-        ++r.single_execs;
+        if (n == 1) {
+          ++r.single_execs;
+        } else {
+          ++r.batched_execs;
+          r.batched_requests += n;
+          r.padded_slots += static_cast<uint64_t>(cluster_->config().batch) - n;
+        }
         if (d.use_fallback) {
           ++r.fallback_execs;
           r.fallback_cycles += d.exec_cycles;
         }
-        const Job& job = *d.job;
-        Completion comp;
-        comp.id = job.id;
-        comp.network = job.network;
-        comp.core = core;
-        comp.group = 1;
-        comp.level = d.level;
-        comp.retries = d.attempts;
-        comp.preemptions = d.preemptions;
-        comp.arrival = job.arrival;
-        comp.deadline = job.deadline;
-        comp.start = d.start;
-        comp.done = now;
-        comp.exec_cycles = d.exec_cycles;
-        comp.wait_cycles = now - job.arrival - d.exec_cycles;
-        if (cfg_.retain_outputs) comp.outputs = d.run->outputs();
-        if (!comp.met_deadline()) ++r.deadline_misses;
-        if (job.deadline != 0) note_deadline_outcome(!comp.met_deadline());
-        if (tel) record_completion(*tel, comp, now);
-        RNNASIP_CHECK(job.id < r.completions.size());
-        served[job.id] = 1;
-        r.completions[job.id] = std::move(comp);
+        for (size_t k = 0; k < n; ++k) {
+          const Job& job = *d.group[k].job;
+          Completion comp;
+          comp.id = job.id;
+          comp.network = job.network;
+          comp.core = core;
+          comp.group = static_cast<int>(n);
+          comp.level = d.level;
+          comp.retries = d.group[k].attempts;
+          comp.preemptions = d.preemptions;
+          comp.arrival = job.arrival;
+          comp.deadline = job.deadline;
+          comp.start = d.start;
+          comp.done = now;
+          comp.exec_cycles = d.exec_cycles;
+          comp.wait_cycles = now - job.arrival - d.exec_cycles;
+          if (cfg_.retain_outputs) {
+            comp.outputs = d.run ? d.run->outputs() : std::move(d.whole.outputs[k]);
+          }
+          if (!comp.met_deadline()) ++r.deadline_misses;
+          if (job.deadline != 0) note_deadline_outcome(!comp.met_deadline());
+          if (tel) record_completion(*tel, comp, now);
+          RNNASIP_CHECK(job.id < r.completions.size());
+          served[job.id] = 1;
+          r.completions[job.id] = std::move(comp);
+        }
       } else {
         ++r.exec_failures;
         r.retry_cycles += d.exec_cycles;
-        if (d.run->integrity_failed()) ++r.integrity_escalations;
+        if (d.run && d.run->integrity_failed()) ++r.integrity_escalations;
         const int fails = ++consec_fail[ci];
-        const int attempts = d.attempts + 1;
+        const iss::TrapCause cause =
+            d.run ? d.run->last_result().trap.cause : d.whole.failure->trap.cause;
         if (tel) {
           // The attempt died: its earlier boundary segments were emitted
           // as surviving kExec — retroactively they are kRetry (discarded
           // work), moved in the accumulators and relabeled in the sampled
           // timeline from this attempt's dispatch anchor on.
-          tel->spans.mark(d.job->id, obs::SpanMark::kFailure, core, now);
-          tel->spans.reclassify(d.job->id, d.span_anchor, obs::SpanPhase::kExec,
+          tel->spans.reclassify(d.job().id, d.span_anchor, obs::SpanPhase::kExec,
                                 obs::SpanPhase::kRetry, d.span_exec);
           tel->metrics.counter("exec_failures").inc();
         }
-        if (attempts > cfg_.max_retries) {
-          r.failed.push_back({d.job->id, d.job->network, attempts,
-                              d.run->last_result().trap.cause});
-          if (tel) {
-            tel->spans.close(d.job->id, obs::SpanOutcome::kFailed, now);
-            tel->metrics.counter("failed").inc();
+        // Requeue each request (bounded retries with deterministic backoff,
+        // back at its workload position) or drop it.
+        for (const Pend& p : d.group) {
+          const int attempts = p.attempts + 1;
+          if (tel) tel->spans.mark(p.job->id, obs::SpanMark::kFailure, core, now);
+          if (attempts > cfg_.max_retries) {
+            r.failed.push_back({p.job->id, p.job->network, attempts, cause});
+            if (tel) {
+              tel->spans.close(p.job->id, obs::SpanOutcome::kFailed, now);
+              tel->metrics.counter("failed").inc();
+            }
+          } else {
+            ++r.retries;
+            const auto at = std::lower_bound(
+                pending.begin(), pending.end(), p.job,
+                [](const Pend& q, const Job* j) { return q.job < j; });
+            pending.insert(
+                at, {p.job, attempts,
+                     now + static_cast<uint64_t>(attempts) * cfg_.retry_backoff_cycles,
+                     now});
+            if (tel) tel->metrics.counter("retries").inc();
           }
-        } else {
-          ++r.retries;
-          pending.push_back(
-              {d.job, attempts,
-               now + static_cast<uint64_t>(attempts) * cfg_.retry_backoff_cycles,
-               now});
-          if (tel) tel->metrics.counter("retries").inc();
         }
         if (fails >= cfg_.quarantine_threshold) {
           r.quarantines.push_back({core, now, now + cfg_.quarantine_cooldown_cycles});
@@ -773,48 +474,49 @@ ServeResult Scheduler::run_segmented(const Workload& workload) {
     }
 
     // ---- Dispatch event on an idle core at `now` ----
-    clock[ci] = now;
+    // The core's clock stays where it went idle until it starts work: a
+    // rejection costs it no time.
 
-    // Select: EDF over suspended runs (always resumable) and ready
-    // pending requests; on a deadline tie the part-executed suspended run
-    // wins. FIFO never has suspended runs (preemption is EDF-only).
+    // Select. kDeadline: EDF over suspended runs (always resumable) and
+    // the requests ready by the time this core went idle; on a deadline tie
+    // the part-executed suspended run wins. Otherwise — FIFO/batched, or
+    // nothing ready yet — the request that became ready first.
     size_t s_pick = suspended.size();
     size_t p_pick = pending.size();
     if (cfg_.policy == Policy::kDeadline) {
       for (size_t i = 0; i < suspended.size(); ++i) {
-        const Job& j = *suspended[i].ctx->job;
+        const Job& j = suspended[i].ctx->job();
         if (s_pick == suspended.size() ||
-            deadline_of(j) < deadline_of(*suspended[s_pick].ctx->job) ||
-            (deadline_of(j) == deadline_of(*suspended[s_pick].ctx->job) &&
-             j.id < suspended[s_pick].ctx->job->id)) {
+            before(deadline_of(j), j, deadline_of(suspended[s_pick].ctx->job()),
+                   suspended[s_pick].ctx->job())) {
           s_pick = i;
         }
       }
       for (size_t i = 0; i < pending.size(); ++i) {
         const Pend& p = pending[i];
-        if (p.ready > now) continue;
+        if (p.ready > clock[ci]) continue;
         if (p_pick == pending.size() ||
-            deadline_of(*p.job) < deadline_of(*pending[p_pick].job) ||
-            (deadline_of(*p.job) == deadline_of(*pending[p_pick].job) &&
-             p.job->id < pending[p_pick].job->id)) {
+            before(deadline_of(*p.job), *p.job, deadline_of(*pending[p_pick].job),
+                   *pending[p_pick].job)) {
           p_pick = i;
         }
       }
-      if (s_pick != suspended.size() && p_pick != pending.size()) {
-        if (deadline_of(*pending[p_pick].job) <
-            deadline_of(*suspended[s_pick].ctx->job)) {
-          s_pick = suspended.size();
-        } else {
-          p_pick = pending.size();
-        }
-      }
-    } else {
+    }
+    if (p_pick == pending.size()) {
       for (size_t i = 0; i < pending.size(); ++i) {
         const Pend& p = pending[i];
-        if (p_pick == pending.size() || p.ready < pending[p_pick].ready ||
-            (p.ready == pending[p_pick].ready && p.job->id < pending[p_pick].job->id)) {
+        if (p.ready > now) continue;
+        if (p_pick == pending.size() ||
+            before(p.ready, *p.job, pending[p_pick].ready, *pending[p_pick].job)) {
           p_pick = i;
         }
+      }
+    }
+    if (s_pick != suspended.size() && p_pick != pending.size()) {
+      if (deadline_of(*pending[p_pick].job) < deadline_of(suspended[s_pick].ctx->job())) {
+        s_pick = suspended.size();
+      } else {
+        p_pick = pending.size();
       }
     }
     RNNASIP_CHECK(s_pick != suspended.size() || p_pick != pending.size());
@@ -825,7 +527,7 @@ ServeResult Scheduler::run_segmented(const Workload& workload) {
       std::unique_ptr<Active> ctx = std::move(suspended[s_pick].ctx);
       const uint64_t since = suspended[s_pick].since;
       suspended.erase(suspended.begin() + static_cast<std::ptrdiff_t>(s_pick));
-      cluster_->bind(core, ctx->job->network, false, ctx->level);
+      cluster_->bind(core, ctx->job().network, false, ctx->level);
       const integrity::Checkpoint cp = ctx->run->checkpoint();
       ctx->run->resume(&cluster_->backend(core, ctx->faulted), &cluster_->memory(core),
                        cp);
@@ -833,55 +535,70 @@ ServeResult Scheduler::run_segmented(const Workload& workload) {
         ctx->injector->arm(&cluster_->core(core), &cluster_->memory(core));
       }
       r.preempted_cycles += now - since;
+      clock[ci] = now;
       if (tel) {
-        tel->spans.phase(ctx->job->id, obs::SpanPhase::kPreempted, -1, since, now);
-        tel->spans.mark(ctx->job->id, obs::SpanMark::kResume, core, now);
+        tel->spans.phase(ctx->job().id, obs::SpanPhase::kPreempted, -1, since, now);
+        tel->spans.mark(ctx->job().id, obs::SpanMark::kResume, core, now);
       }
       active[ci] = std::move(ctx);
       continue;
     }
 
     const Job& head = *pending[p_pick].job;
-    const int attempts = pending[p_pick].attempts;
     const uint64_t start = now;
 
-    // Overload re-evaluation and admission control, as in run_plain.
-    if (can_fallback) {
+    // Re-evaluate overload before choosing this execution's level, from
+    // the completions seen so far and the requests already waiting at
+    // `start` (arrived and not yet dispatched) — the depth the
+    // queue_depth_peak gauge records too.
+    if (can_fallback || tel) {
       size_t depth = 0;
       for (const Pend& p : pending)
         if (p.ready <= start) ++depth;
-      const bool miss_overload =
-          miss_count > 0 && miss_fraction() >= cfg_.overload_miss_rate;
-      const bool queue_overload =
-          cfg_.overload_queue_depth > 0 && depth > cfg_.overload_queue_depth;
-      const bool queue_calm =
-          cfg_.overload_queue_depth == 0 || depth <= cfg_.overload_queue_depth / 2;
-      if (!degraded && (miss_overload || queue_overload)) {
-        degraded = true;
-        degraded_since = start;
-      } else if (degraded && !miss_overload && !queue_overload &&
-                 miss_fraction() <= cfg_.recover_miss_rate && queue_calm) {
-        degraded = false;
-        r.fallback_intervals.push_back({degraded_since, start});
+      if (tel) {
+        obs::Gauge& depth_peak = tel->metrics.gauge("queue_depth_peak");
+        if (static_cast<int64_t>(depth) > depth_peak.value()) {
+          depth_peak.set(static_cast<int64_t>(depth));
+        }
+      }
+      if (can_fallback) {
+        const bool miss_overload =
+            miss_count > 0 && miss_fraction() >= cfg_.overload_miss_rate;
+        const bool queue_overload =
+            cfg_.overload_queue_depth > 0 && depth > cfg_.overload_queue_depth;
+        const bool queue_calm =
+            cfg_.overload_queue_depth == 0 || depth <= cfg_.overload_queue_depth / 2;
+        if (!degraded && (miss_overload || queue_overload)) {
+          degraded = true;
+          degraded_since = start;
+        } else if (degraded && !miss_overload && !queue_overload &&
+                   miss_fraction() <= cfg_.recover_miss_rate && queue_calm) {
+          degraded = false;
+          r.fallback_intervals.push_back({degraded_since, start});
+        }
       }
     }
     const bool use_fallback = can_fallback && degraded;
     const kernels::OptLevel level =
         use_fallback ? *cluster_->config().fallback_level : primary;
 
+    // Admission control (kDeadline): reject a request whose estimated
+    // completion already blows its deadline instead of burning a core on
+    // it. kProvable charges the certified WCET, so passing this test is a
+    // guarantee, not a prediction.
     if (cfg_.policy == Policy::kDeadline && head.deadline != 0) {
       const uint64_t est =
           cfg_.admission == Admission::kProvable
               ? cluster_->provable_single_cycles(head.network, level)
               : cluster_->estimated_single_cycles(head.network, level);
       if (start + est > head.deadline) {
-        r.rejections.push_back({head.id, head.network, head.arrival, head.deadline, now});
+        r.rejections.push_back({head.id, head.network, head.arrival, head.deadline, start});
         if (tel) {
           const Pend& p = pending[p_pick];
           if (p.attempts == 0) tel->spans.arrive(head.id, head.network, head.arrival);
-          tel->spans.phase(head.id, obs::SpanPhase::kWait, -1, p.span_at, now);
-          tel->spans.mark(head.id, obs::SpanMark::kReject, -1, now);
-          tel->spans.close(head.id, obs::SpanOutcome::kRejected, now);
+          tel->spans.phase(head.id, obs::SpanPhase::kWait, -1, p.span_at, start);
+          tel->spans.mark(head.id, obs::SpanMark::kReject, -1, start);
+          tel->spans.close(head.id, obs::SpanOutcome::kRejected, start);
           tel->metrics.counter("rejected").inc();
         }
         pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(p_pick));
@@ -889,6 +606,32 @@ ServeResult Scheduler::run_segmented(const Workload& workload) {
       }
     }
 
+    // Coalesce: same network, already ready by `start`, up to B total.
+    // Batching stays off for the deadline policy (EDF order is per
+    // request) and while degraded (the fallback flavor is single-only).
+    std::vector<size_t> group{p_pick};
+    if (cfg_.policy == Policy::kBatched && !use_fallback &&
+        cluster_->batchable(head.network)) {
+      const int cap = cluster_->config().batch;
+      for (size_t i = 0; i < pending.size() && static_cast<int>(group.size()) < cap;
+           ++i) {
+        if (i == p_pick) continue;
+        if (pending[i].job->network == head.network && pending[i].ready <= start) {
+          group.push_back(i);
+        }
+      }
+      // The fixed-B program always runs all B lanes. From level d up the
+      // batched schedule is the fused per-sample one (see emit_fc_batch), so
+      // a lane costs the same as a single run and padded lanes are pure
+      // loss: coalesce only full groups there. At levels <= c the 2-D tile
+      // amortizes weight loads across lanes, which pays even part-filled.
+      if (cluster_->config().level >= kernels::OptLevel::kLoadCompute &&
+          static_cast<int>(group.size()) < cap) {
+        group.resize(1);
+      }
+    }
+
+    // Per-execution campaign spec: same template, execution-mixed seed.
     fault::FaultSpec exec_fault;
     if (faults_on) {
       exec_fault = cfg_.fault;
@@ -897,55 +640,77 @@ ServeResult Scheduler::run_segmented(const Workload& workload) {
     ++exec_counter;
 
     auto ctx = std::make_unique<Active>();
-    ctx->job = &head;
-    ctx->attempts = attempts;
+    for (size_t gi : group) ctx->group.push_back(pending[gi]);
     ctx->level = level;
     ctx->use_fallback = use_fallback;
     ctx->faulted = faults_on;
     ctx->start = start;
     if (tel) {
-      const Pend& p = pending[p_pick];
-      if (p.attempts == 0) tel->spans.arrive(head.id, head.network, head.arrival);
-      tel->spans.phase(head.id, obs::SpanPhase::kWait, -1, p.span_at, start);
-      tel->spans.mark(head.id,
-                      attempts == 0 ? obs::SpanMark::kAdmit : obs::SpanMark::kDispatch,
-                      core, start);
-      ctx->span_anchor = tel->spans.segment_count(head.id);
-      obs::Gauge& depth_peak = tel->metrics.gauge("queue_depth_peak");
-      if (static_cast<int64_t>(pending.size()) > depth_peak.value()) {
-        depth_peak.set(static_cast<int64_t>(pending.size()));
+      for (const Pend& p : ctx->group) {
+        const Job& job = *p.job;
+        if (p.attempts == 0) tel->spans.arrive(job.id, job.network, job.arrival);
+        tel->spans.phase(job.id, obs::SpanPhase::kWait, -1, p.span_at, start);
+        tel->spans.mark(job.id,
+                        p.attempts == 0 ? obs::SpanMark::kAdmit : obs::SpanMark::kDispatch,
+                        core, start);
       }
+      ctx->span_anchor = tel->spans.segment_count(head.id);
     }
 
-    cluster_->bind(core, head.network, false, level);
-    const kernels::BuiltNetwork& net = cluster_->built_single(head.network, level);
-    integrity::CheckedRunConfig rc;
-    rc.detect = cfg_.integrity.detect;
-    rc.rollback = cfg_.integrity.rollback;
-    rc.layer_retries = cfg_.integrity.layer_retries;
-    rc.watchdog_cycles = faults_on ? cluster_->watchdog_cycles(head.network, level) : 0;
-    ctx->run = std::make_unique<integrity::CheckedRun>(
-        &cluster_->backend(core, faults_on), &cluster_->memory(core), &net, rc);
-    if (rc.detect) {
-      ctx->run->set_golden(integrity::golden_checks(
-          cluster_->network(head.network), cluster_->tanh_table(),
-          cluster_->sig_table(), head.input));
-    }
-    ctx->run->begin(head.input);
-    if (faults_on) {
-      fault::FaultSpec spec = exec_fault;
-      if (spec.tcdm.empty()) {
-        spec.tcdm = {kernels::kDataBase, kernels::kDataBase + net.data_bytes};
+    if (!segmented) {
+      // Whole execution: run it now; its outcome is the attempt's single
+      // event, processed at start + cycles.
+      const fault::FaultSpec* fault = faults_on ? &exec_fault : nullptr;
+      if (group.size() == 1) {
+        ctx->whole = cluster_->run_single_at(core, level, head.network, head.input, fault);
+      } else {
+        std::vector<std::vector<int16_t>> inputs;
+        inputs.reserve(group.size());
+        for (const Pend& p : ctx->group) inputs.push_back(p.job->input);
+        ctx->whole = cluster_->run_batched(core, head.network, inputs, fault);
       }
-      spec.text = {};
-      ctx->injector = std::make_unique<fault::FaultInjector>(spec);
-      ctx->injector->arm(&cluster_->core(core), &cluster_->memory(core));
+      ctx->has_event = true;
+      ctx->ev_cycles = ctx->whole.cycles;
+      ctx->ev_state = ctx->whole.ok() ? integrity::CheckedRun::State::kDone
+                                      : integrity::CheckedRun::State::kFailed;
+    } else {
+      cluster_->bind(core, head.network, false, level);
+      const kernels::BuiltNetwork& net = cluster_->built_single(head.network, level);
+      integrity::CheckedRunConfig rc;
+      rc.detect = cfg_.integrity.detect;
+      rc.rollback = cfg_.integrity.rollback;
+      rc.layer_retries = cfg_.integrity.layer_retries;
+      rc.watchdog_cycles = faults_on ? cluster_->watchdog_cycles(head.network, level) : 0;
+      ctx->run = std::make_unique<integrity::CheckedRun>(
+          &cluster_->backend(core, faults_on), &cluster_->memory(core), &net, rc);
+      if (rc.detect) {
+        ctx->run->set_golden(integrity::golden_checks(
+            cluster_->network(head.network), cluster_->tanh_table(),
+            cluster_->sig_table(), head.input));
+      }
+      ctx->run->begin(head.input);
+      if (faults_on) {
+        fault::FaultSpec spec = exec_fault;
+        if (spec.tcdm.empty()) {
+          spec.tcdm = {kernels::kDataBase, kernels::kDataBase + net.data_bytes};
+        }
+        spec.text = {};
+        ctx->injector = std::make_unique<fault::FaultInjector>(spec);
+        ctx->injector->arm(&cluster_->core(core), &cluster_->memory(core));
+      }
     }
+    clock[ci] = start;
     active[ci] = std::move(ctx);
-    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(p_pick));
+    // Remove the group back-to-front so indices stay valid.
+    std::sort(group.begin(), group.end());
+    for (size_t k = group.size(); k-- > 0;) {
+      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(group[k]));
+    }
   }
   if (degraded) r.fallback_intervals.push_back({degraded_since, r.makespan});
 
+  // Compact: completions keep only served requests (ordered by id since
+  // the slots were id-indexed).
   std::vector<Completion> compact;
   compact.reserve(r.completions.size());
   for (size_t i = 0; i < r.completions.size(); ++i) {

@@ -8,6 +8,17 @@
 // program execution — so latency percentiles, throughput and utilization
 // are true cycle-level numbers, not analytic estimates.
 //
+// One discrete-event loop serves every configuration. Each in-flight
+// attempt buffers its next event and the loop processes events in global
+// cycle order, completions before dispatches at the same cycle. With
+// integrity off an attempt is one whole execution, run eagerly at dispatch
+// (Cluster::run_single_at / run_batched) and processed as a single event at
+// start + cycles; with integrity on it is a CheckedRun stepped one layer
+// segment at a time. Idle cores dispatching at the same cycle go in order
+// of their clocks (idle the longest first), then by index. Scheduler state
+// — retries, quarantine, the overload detector — changes only at events,
+// so every decision reads only what has already happened.
+//
 // Policies:
 //   kFifo     — next-free core takes the oldest pending request, single
 //               program per request.
@@ -33,8 +44,8 @@
 // cluster's cheaper fallback flavor until pressure subsides.
 //
 // Everything is seeded and simulated: two runs with the same configuration
-// produce byte-identical reports, and a configuration with zero fault
-// rates and no deadlines behaves bit-identically to the plain scheduler.
+// produce byte-identical reports, and the resilience knobs at their
+// defaults (zero fault rates, no fallback) leave the schedule untouched.
 #pragma once
 
 #include <cstdint>
@@ -142,10 +153,10 @@ struct SchedulerConfig {
   /// completions stay O(bookkeeping) instead of O(outputs).
   bool retain_outputs = true;
 
-  /// Integrity-and-recovery knobs. Any of detect/preemption switches the
-  /// scheduler to segmented (layer-boundary) execution over a cluster
-  /// built with ClusterConfig::integrity; all-off (the default) keeps the
-  /// plain whole-execution path bit-identical to before.
+  /// Integrity-and-recovery knobs. Any of detect/preemption makes each
+  /// attempt a segmented (layer-boundary) CheckedRun over a cluster built
+  /// with ClusterConfig::integrity; all-off (the default) makes each
+  /// attempt one whole execution, a single event of the same loop.
   struct IntegrityOptions {
     /// Verify every layer's ABFT fold against the golden oracle; a
     /// mismatch is an ExecFailure (kIntegrityMismatch) after rollback.
@@ -212,7 +223,8 @@ struct Completion {
 };
 
 /// A request rejected by admission control (kDeadline policy): at
-/// `decided_at` its estimated completion already exceeded the deadline.
+/// `decided_at` — the dispatch cycle that considered it, never before its
+/// arrival — its estimated completion already exceeded the deadline.
 struct Rejection {
   uint64_t id = 0;
   std::string network;
@@ -264,6 +276,8 @@ struct ServeResult {
   uint64_t single_execs = 0;
 
   // ---- Resilience record ----
+  // failed, quarantines and fault_log are appended in completion order
+  // (finish cycle, ties by lowest core).
   std::vector<Rejection> rejections;        ///< admission-control rejects
   std::vector<FailedRequest> failed;        ///< retry budget exhausted
   std::vector<QuarantineInterval> quarantines;
@@ -322,12 +336,6 @@ class Scheduler {
   ServeResult run(const Workload& workload);
 
  private:
-  /// Whole-execution event loop (the pre-integrity scheduler, bit-exact).
-  ServeResult run_plain(const Workload& workload);
-  /// Layer-boundary segmented loop: ABFT detection, checkpoint rollback,
-  /// and EDF preemption over an integrity cluster.
-  ServeResult run_segmented(const Workload& workload);
-
   Cluster* cluster_;
   SchedulerConfig cfg_;
 };

@@ -6,6 +6,9 @@
 //   - the latency accounting identity holds for every completion.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "src/asm/builder.h"
 #include "src/rrm/engine.h"
 #include "src/serve/cluster.h"
@@ -289,7 +292,50 @@ TEST(ServeScheduler, HopelessDeadlinesAreRejectedNotSilentlyDropped) {
   EXPECT_EQ(r.rejections.size(), workload.jobs.size());
   EXPECT_EQ(r.admitted(), 0u);
   EXPECT_EQ(r.makespan, 0u);  // nothing ever executed
-  for (const auto& rej : r.rejections) EXPECT_GT(rej.deadline, 0u);
+  for (const auto& rej : r.rejections) {
+    EXPECT_GT(rej.deadline, 0u);
+    // The decision is made when the request is considered, never before
+    // it arrived (an idle core does not reject a request from the future).
+    EXPECT_GE(rej.decided_at, rej.arrival) << "request " << rej.id;
+  }
+}
+
+TEST(ServeScheduler, MissRateOverloadReactsOnlyToCompletedMisses) {
+  // The miss-rate overload trigger may only read deadline outcomes that
+  // have happened: degraded mode cannot begin before the first missed
+  // completion is done. Level a's software activations make naparstek17's
+  // cycles input-dependent, a few cycles above the zero-input calibration
+  // for some inputs, so deadlines of exactly arrival + estimate pass
+  // admission on an idle core and still miss. Arrivals every 0.6 x the
+  // estimate on two cores overlap each execution with the next dispatch.
+  auto cfg = cluster_config(2, 1);
+  cfg.level = OptLevel::kBaseline;
+  cfg.fallback_level = OptLevel::kInputTiling;
+  serve::Cluster cluster(cfg, kMixedNets);
+  const uint64_t est = cluster.estimated_single_cycles("naparstek17");
+  serve::WorkloadConfig wc;
+  wc.networks = {"naparstek17"};
+  wc.requests = 16;
+  auto workload = serve::make_poisson_workload(cluster, wc);
+  for (size_t i = 0; i < workload.jobs.size(); ++i) {
+    workload.jobs[i].arrival = i * (est * 3 / 5);
+    workload.jobs[i].deadline = workload.jobs[i].arrival + est;
+  }
+
+  serve::SchedulerConfig sc;
+  sc.policy = serve::Policy::kDeadline;
+  sc.level_fallback = true;
+  sc.overload_queue_depth = 0;  // the miss-rate trigger only
+  sc.miss_window = 1;
+  serve::Scheduler sched(&cluster, sc);
+  const auto r = sched.run(workload);
+  ASSERT_GT(r.deadline_misses, 0u);
+  ASSERT_FALSE(r.fallback_intervals.empty());
+  uint64_t first_miss_done = std::numeric_limits<uint64_t>::max();
+  for (const auto& c : r.completions) {
+    if (!c.met_deadline()) first_miss_done = std::min(first_miss_done, c.done);
+  }
+  EXPECT_GE(r.fallback_intervals.front().from, first_miss_done);
 }
 
 TEST(ServeScheduler, GenerousDeadlinesAreAllMetUnderEdf) {

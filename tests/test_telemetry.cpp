@@ -361,6 +361,56 @@ TEST(ServingTelemetry, SampleEveryBoundsRetainedTracks) {
   EXPECT_GT(spans.tracks().size(), 0u);
 }
 
+TEST(ServingTelemetry, QueueDepthPeakCountsArrivedRequestsOnly) {
+  // The gauge is the arrived-and-undispatched queue depth: requests that
+  // have not arrived yet are not queued. Arrivals 200k cycles apart on four
+  // cores find an idle core every time, so the peak is the dispatched
+  // request alone — nowhere near the request count.
+  serve::Cluster cluster(cluster_config(4, 1), kFcNets);
+  auto workload = small_workload(cluster, 32, 0xD3E9);
+  for (size_t i = 0; i < workload.jobs.size(); ++i) {
+    workload.jobs[i].arrival = i * 200'000;
+  }
+  serve::Scheduler sched(&cluster, telemetered(serve::Policy::kFifo));
+  const auto r = sched.run(workload);
+  ASSERT_TRUE(r.telemetry);
+  ASSERT_TRUE(r.telemetry->metrics.has_gauge("queue_depth_peak"));
+  EXPECT_EQ(r.telemetry->metrics.gauge_value("queue_depth_peak"), 1);
+
+  // Saturated, the same gauge does grow with the backlog.
+  serve::Cluster busy_cluster(cluster_config(1, 1), kFcNets);
+  serve::Scheduler busy(&busy_cluster, telemetered(serve::Policy::kFifo));
+  const auto rb = busy.run(small_workload(busy_cluster, 32, 0xD3E9, 200));
+  EXPECT_GT(rb.telemetry->metrics.gauge_value("queue_depth_peak"), 1);
+}
+
+TEST(ServingTelemetry, RejectionDecisionTimeIsTheSpanCloseCycle) {
+  // Admission decides at the dispatch cycle, which is where the rejected
+  // span closes; an idle core may wait for the arrival but never decides
+  // before it.
+  serve::Cluster cluster(cluster_config(2, 1), kFcNets);
+  serve::WorkloadConfig wc;
+  wc.networks = kFcNets;
+  wc.requests = 16;
+  wc.mean_interarrival_cycles = 3000;
+  wc.deadline_slack_cycles = 4;  // hopeless: every request is rejected
+  const auto workload = serve::make_poisson_workload(cluster, wc);
+  serve::Scheduler sched(&cluster, telemetered(serve::Policy::kDeadline));
+  const auto r = sched.run(workload);
+  ASSERT_TRUE(r.telemetry);
+  ASSERT_EQ(r.rejections.size(), workload.jobs.size());
+  const auto& tracks = r.telemetry->spans.tracks();
+  ASSERT_EQ(tracks.size(), r.rejections.size());
+  for (const auto& rej : r.rejections) {
+    const auto t = std::find_if(tracks.begin(), tracks.end(),
+                                [&](const obs::RequestSpan& s) { return s.id == rej.id; });
+    ASSERT_NE(t, tracks.end()) << "request " << rej.id;
+    EXPECT_EQ(t->outcome, obs::SpanOutcome::kRejected);
+    EXPECT_EQ(rej.decided_at, t->done) << "request " << rej.id;
+    EXPECT_GE(rej.decided_at, rej.arrival) << "request " << rej.id;
+  }
+}
+
 // ----------------------------------------------------------- flamegraph ----
 
 TEST(Flamegraph, CollapsedStackLinesSumToObservedCycles) {
